@@ -8,26 +8,63 @@
 //! `AmalgamClass` into a [`SymbolicClass`] for the Theorem 5 engine,
 //! providing:
 //!
-//! * sub-transition successors (amalgams filtered by the guard, restricted to
-//!   the substructure generated by the new points, canonicalized);
+//! * sub-transition successors (amalgams that satisfy the guard, restricted
+//!   to the substructure generated by the new points and canonicalized in
+//!   one pass by [`RelConfig::generated`]);
 //! * witness concretization by replaying the trace against ever-growing full
 //!   databases — the executable form of the paper's soundness induction
 //!   ("by closure under amalgamation we get a database A′ ...", §4.1).
 //!
-//! The guard steers the enumeration through *hints*: the relation atoms of
-//! the guard, as variable tuples. Classes closed under removing tuples
-//! (free, `HOM`) only ever add cross tuples that some guard atom mentions —
-//! any richer amalgam can be thinned to such a candidate without changing
-//! membership, the guard's atoms, or the generated new configuration, so the
-//! enumeration stays complete while avoiding the `2^(2k)^arity` blow-up of
-//! enumerating every cross tuple.
+//! # Guard-directed enumeration
+//!
+//! A successor is the substructure generated by the new points of an
+//! amalgam that satisfies the guard; nothing else about the amalgam
+//! matters. The guard therefore steers the enumeration instead of filtering
+//! it afterwards ([`GuardHints`] carries it, translated to the internal
+//! schema). The classes built from optional facts (free, `HOM`) use it in
+//! three ways, once per placement of the new points (and per coloring of
+//! the fresh points in `HOM`):
+//!
+//! * **Cross tuples.** Classes closed under removing tuples only ever add
+//!   the cross tuples some guard atom mentions. Any richer amalgam can be
+//!   thinned to such a candidate without changing membership, the guard's
+//!   atoms, or the generated new configuration, so the enumeration stays
+//!   complete while avoiding the `2^(2k)^arity` blow-up of enumerating
+//!   every cross tuple.
+//! * **Guard compilation.** Against one placement the guard compiles into
+//!   a propositional program over the bits of an optional-fact mask. An
+//!   atom whose tuple is optional fact `i` reads bit `i`; any other atom is
+//!   decided by the placement's base structure, and a variable
+//!   (dis)equality by the placement itself. Masks are visited in ascending
+//!   order, and a mask whose program is false is skipped before its
+//!   candidate is built.
+//! * **Projection dedup.** Two masks that agree on the optional facts lying
+//!   wholly inside the new-point universe generate the same successor.
+//!   Among the masks that pass, only the first of each such projection is
+//!   built.
+//!
+//! The program is exact — it decides what `eval` decides on the candidate
+//! — and `transitions` still runs the reference `eval` on every
+//! candidate, so the program only prunes. The kept candidates are those
+//! of the unpruned enumeration (every subset of every placement), in its
+//! order, minus guard rejects and minus later duplicates of an earlier
+//! successor. `transitions` keeps the first occurrence of each successor
+//! in candidate order, and [`replay_trace`] takes the first candidate
+//! that matches a trace step; both are the first passing mask of their
+//! projection, so the successor lists, every deterministic engine
+//! statistic and every witness are those of the unpruned enumeration. A
+//! guard that does not compile (a quantifier, a function term, an
+//! out-of-range variable), or no guard at all, becomes the constant
+//! `true` with every mask its own projection: the same loop, pruning
+//! nothing.
 
 use crate::class::{Pointed, RelConfig, SymbolicClass, Trace};
 use dds_logic::eval::eval;
 use dds_logic::{Formula, Term, Var};
-use dds_structure::{Element, Schema, Structure, SymbolId};
+use dds_structure::{Element, Schema, Structure, SymbolId, SymbolKind};
 use dds_system::{Run, System};
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,6 +142,12 @@ pub type Hint = (SymbolId, Vec<Var>);
 
 /// What a relational class must provide. See the module docs.
 ///
+/// The internal schema must be purely relational (free and `HOM` assert
+/// it; linear orders, equivalences and data products are built that way):
+/// the blanket [`SymbolicClass`] implementation canonicalizes successors
+/// with [`RelConfig::generated`], which keeps exactly the facts among the
+/// new points.
+///
 /// `Sync` is required because the blanket [`SymbolicClass`] implementation
 /// hands `&self` to the engine's scoped worker threads; all implementations
 /// are immutable data, so the bound is automatic.
@@ -123,12 +166,16 @@ pub trait AmalgamClass: Sync {
     /// Candidate amalgams: pointed structures `(A, new_points)` such that
     /// `A` is a member of the class, `A` extends `base.structure` *in place*
     /// (elements `0..base.size()` are untouched, fresh elements appended),
-    /// and `new_points` are the new register values. The returned set must
-    /// cover, for every member amalgam in the class sense *that satisfies
-    /// the guard the hints came from*, some candidate that agrees with it on
-    /// the hint atoms and on the substructure generated by the new points —
-    /// so implementations may (and should) skip placements ruled out by
-    /// [`GuardHints::placement_allows`].
+    /// and `new_points` are the new register values. For every member
+    /// amalgam in the class sense that satisfies the guard carried in the
+    /// hints, the returned set must contain a candidate that also satisfies
+    /// that guard and agrees with it on the substructure generated by the
+    /// new points. Candidates that fail the guard may be returned (the
+    /// caller evaluates it) or skipped, and so may later candidates that
+    /// generate the same successor as an earlier one — so implementations
+    /// may (and should) skip placements ruled out by
+    /// [`GuardHints::placement_allows`] and masks ruled out by the compiled
+    /// guard ([`guarded_fact_subsets`]).
     fn amalgams(&self, base: &Pointed, hints: &GuardHints) -> Vec<Pointed>;
 
     /// Projects an internal structure to the public schema (copying the
@@ -198,10 +245,11 @@ pub fn translate_formula(f: &Formula, from: &Schema, to: &Schema) -> Formula {
     }
 }
 
-/// Guard information steering the amalgam enumeration: the relation atoms
-/// (tuple hints for the optional cross facts) plus the variable
-/// (dis)equalities the guard *forces* — literals on every conjunction path,
-/// whose truth depends only on the point placement. Placements violating a
+/// Guard information steering the amalgam enumeration: the guard itself
+/// (compiled per placement by [`guarded_fact_subsets`]), its relation atoms
+/// (tuple hints for the optional cross facts) and the variable
+/// (dis)equalities it *forces* — literals on every conjunction path, whose
+/// truth depends only on the point placement. Placements violating a
 /// forced (dis)equality cannot satisfy the guard under any choice of facts,
 /// so classes skip them before their exponential fact/coloring enumerations.
 #[derive(Clone, Debug, Default)]
@@ -211,16 +259,20 @@ pub struct GuardHints {
     /// Forced variable (dis)equalities: `(a, b, true)` means every model of
     /// the guard has `a = b`; `(a, b, false)` means `a != b`.
     pub eqs: Vec<(Var, Var, bool)>,
+    /// The guard over the class's internal schema, or `None` when the
+    /// caller holds none it can decide (every candidate is then kept).
+    pub guard: Option<Arc<Formula>>,
 }
 
 impl GuardHints {
-    /// Extracts the hints of a quantifier-free guard.
+    /// Extracts the hints of a quantifier-free guard and keeps the guard.
     pub fn of(guard: &Formula) -> GuardHints {
         let mut eqs = Vec::new();
         collect_forced_eqs(guard, &mut eqs);
         GuardHints {
             atoms: collect_hints(guard),
             eqs,
+            guard: Some(Arc::new(guard.clone())),
         }
     }
 
@@ -436,37 +488,192 @@ pub fn internal_new_tuples(
     out
 }
 
-/// Enumerates all subsets of `optional` facts added on top of `base_struct`,
-/// filtered by `keep` (a per-candidate membership check), pushing accepted
-/// structures into `out`.
-///
-/// Candidates are drawn from the scratch pool (one `clone_from` per mask,
-/// no fresh allocation tree) and rejected ones are returned to it;
-/// downstream consumers of `out` should [`release_structure`] the accepted
-/// ones once canonicalized.
+/// Upper bound on the optional facts of one enumeration (`2^n` masks).
+const MAX_OPTIONAL_FACTS: usize = 24;
+
+/// `base_struct` plus the optional facts selected by `mask`, drawn from the
+/// scratch pool (one `clone_from`, no fresh allocation tree).
+fn with_facts(
+    base_struct: &Structure,
+    optional: &[(SymbolId, Vec<Element>)],
+    mask: u64,
+) -> Structure {
+    let mut cand = scratch_structure(base_struct);
+    for (i, (rel, t)) in optional.iter().enumerate() {
+        if mask & (1 << i) != 0 {
+            cand.add_fact(*rel, t).expect("valid fact");
+        }
+    }
+    cand
+}
+
+/// Enumerates all subsets of `optional` facts added on top of `base_struct`
+/// in ascending mask order, pushing the structures into `out`. Consumers
+/// should [`release_structure`] them once done.
 pub fn enumerate_fact_subsets(
     base_struct: &Structure,
     optional: &[(SymbolId, Vec<Element>)],
-    mut keep: impl FnMut(&Structure) -> bool,
     out: &mut Vec<Structure>,
 ) {
     assert!(
-        optional.len() <= 24,
+        optional.len() <= MAX_OPTIONAL_FACTS,
         "enumerate_fact_subsets: too many optional facts ({})",
         optional.len()
     );
     for mask in 0u64..(1u64 << optional.len()) {
-        let mut cand = scratch_structure(base_struct);
-        for (i, (rel, t)) in optional.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                cand.add_fact(*rel, t).expect("valid fact");
+        out.push(with_facts(base_struct, optional, mask));
+    }
+}
+
+/// A guard compiled against one placement: a propositional program over
+/// the bits of an optional-fact mask (see the module docs).
+#[derive(Debug)]
+enum FactProgram {
+    Const(bool),
+    Bit(u32),
+    Not(Box<FactProgram>),
+    And(Vec<FactProgram>),
+    Or(Vec<FactProgram>),
+}
+
+impl FactProgram {
+    /// Compiles `guard` for the candidates `base ∪ {optional[i] : bit i}`
+    /// under the valuation `combined`. Every optional fact must be absent
+    /// from `base`. `None` when the guard has a quantifier, a function
+    /// term, an out-of-range variable or an ill-typed atom — the cases the
+    /// reference `eval` may reject, which the program must not decide.
+    fn compile(
+        guard: &Formula,
+        base: &Structure,
+        combined: &[Element],
+        optional: &[(SymbolId, Vec<Element>)],
+    ) -> Option<FactProgram> {
+        let value = |t: &Term| match t {
+            Term::Var(v) => combined.get(v.index()).copied(),
+            Term::App(..) => None,
+        };
+        let all = |fs: &[Formula]| -> Option<Vec<FactProgram>> {
+            fs.iter()
+                .map(|f| FactProgram::compile(f, base, combined, optional))
+                .collect()
+        };
+        Some(match guard {
+            Formula::True => FactProgram::Const(true),
+            Formula::False => FactProgram::Const(false),
+            Formula::Eq(a, b) => FactProgram::Const(value(a)? == value(b)?),
+            Formula::Rel(r, args) => {
+                let schema = base.schema();
+                if r.index() >= schema.len()
+                    || schema.kind(*r) != SymbolKind::Relation
+                    || schema.arity(*r) != args.len()
+                {
+                    return None;
+                }
+                let tuple: Vec<Element> = args.iter().map(value).collect::<Option<_>>()?;
+                match optional.iter().position(|(o, t)| o == r && *t == tuple) {
+                    Some(i) => FactProgram::Bit(i as u32),
+                    None => FactProgram::Const(base.holds(*r, &tuple)),
+                }
+            }
+            Formula::Not(inner) => match FactProgram::compile(inner, base, combined, optional)? {
+                FactProgram::Const(b) => FactProgram::Const(!b),
+                p => FactProgram::Not(Box::new(p)),
+            },
+            Formula::And(fs) => FactProgram::junction(all(fs)?, true),
+            Formula::Or(fs) => FactProgram::junction(all(fs)?, false),
+            Formula::Exists(..) => return None,
+        })
+    }
+
+    /// Folds the constants out of a conjunction (`is_and`) or disjunction.
+    fn junction(parts: Vec<FactProgram>, is_and: bool) -> FactProgram {
+        let mut kept = Vec::with_capacity(parts.len());
+        for p in parts {
+            match p {
+                FactProgram::Const(b) if b == is_and => {}
+                FactProgram::Const(b) => return FactProgram::Const(b),
+                p => kept.push(p),
             }
         }
-        if keep(&cand) {
-            out.push(cand);
-        } else {
-            release_structure(cand);
+        match kept.len() {
+            0 => FactProgram::Const(is_and),
+            1 => kept.pop().expect("one part"),
+            _ if is_and => FactProgram::And(kept),
+            _ => FactProgram::Or(kept),
         }
+    }
+
+    fn eval(&self, mask: u64) -> bool {
+        match self {
+            FactProgram::Const(b) => *b,
+            FactProgram::Bit(i) => mask >> i & 1 == 1,
+            FactProgram::Not(p) => !p.eval(mask),
+            FactProgram::And(ps) => ps.iter().all(|p| p.eval(mask)),
+            FactProgram::Or(ps) => ps.iter().any(|p| p.eval(mask)),
+        }
+    }
+}
+
+/// The bits of `mask` selected by `select`, packed into the low bits.
+fn compress(mask: u64, select: u64) -> usize {
+    let (mut out, mut next, mut rest) = (0usize, 0u32, select);
+    while rest != 0 {
+        if mask & rest & rest.wrapping_neg() != 0 {
+            out |= 1 << next;
+        }
+        next += 1;
+        rest &= rest - 1;
+    }
+    out
+}
+
+/// The guard-directed fact enumeration of one placement (see the module
+/// docs): pushes `base_struct` plus each subset of `optional` whose
+/// compiled `guard` holds under `combined`, in ascending mask order,
+/// keeping only the first mask of each projection onto the optional facts
+/// that lie wholly inside `universe` (the new points). Every optional fact
+/// must be absent from `base_struct`. Consumers should
+/// [`release_structure`] the pushed structures once done.
+pub fn guarded_fact_subsets(
+    base_struct: &Structure,
+    optional: &[(SymbolId, Vec<Element>)],
+    universe: &[Element],
+    guard: Option<&Formula>,
+    combined: &[Element],
+    out: &mut Vec<Structure>,
+) {
+    assert!(
+        optional.len() <= MAX_OPTIONAL_FACTS,
+        "guarded_fact_subsets: too many optional facts ({})",
+        optional.len()
+    );
+    let all = (1u64 << optional.len()) - 1;
+    let (program, projection) =
+        match guard.and_then(|g| FactProgram::compile(g, base_struct, combined, optional)) {
+            Some(program) => {
+                let inside = optional
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, t))| t.iter().all(|e| universe.contains(e)))
+                    .fold(0u64, |m, (i, _)| m | 1 << i);
+                (program, inside)
+            }
+            None => (FactProgram::Const(true), all),
+        };
+    if matches!(program, FactProgram::Const(false)) {
+        return;
+    }
+    let mut seen = vec![0u64; (1usize << projection.count_ones()).div_ceil(64)];
+    for mask in 0..=all {
+        if !program.eval(mask) {
+            continue;
+        }
+        let slot = compress(mask, projection);
+        if seen[slot / 64] >> (slot % 64) & 1 == 1 {
+            continue;
+        }
+        seen[slot / 64] |= 1 << (slot % 64);
+        out.push(with_facts(base_struct, optional, mask));
     }
 }
 
@@ -542,7 +749,7 @@ pub fn replay_trace<T: AmalgamClass>(
         for cand in class.amalgams(&base, &hints) {
             let combined = combined_valuation(&points, &cand.points);
             if eval(&guard, &cand.structure, &combined).unwrap_or(false)
-                && RelConfig::canonical(&cand.generated()) == step.config
+                && RelConfig::generated(&cand) == step.config
             {
                 found = Some(cand);
                 break;
@@ -580,13 +787,22 @@ impl<T: AmalgamClass> SymbolicClass for T {
     fn transitions(&self, cfg: &RelConfig, guard: &Formula) -> Vec<RelConfig> {
         let guard = translate_formula(guard, self.public_schema(), self.internal_schema());
         let hints = GuardHints::of(&guard);
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
+        // First index in `out` of each key hash; a hash hit falls back to
+        // comparing keys, so a collision never drops a successor.
+        let mut first: HashMap<u64, usize> = HashMap::new();
+        let mut out: Vec<RelConfig> = Vec::new();
         for cand in self.amalgams(&cfg.pointed, &hints) {
             let combined = combined_valuation(&cfg.pointed.points, &cand.points);
             if eval(&guard, &cand.structure, &combined).unwrap_or(false) {
-                let next = RelConfig::canonical(&cand.generated());
-                if seen.insert(next.key().clone()) {
+                let next = RelConfig::generated(&cand);
+                let fresh = match first.entry(next.key_hash()) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(out.len());
+                        true
+                    }
+                    Entry::Occupied(slot) => out[*slot.get()] != next && !out.contains(&next),
+                };
+                if fresh {
                     out.push(next);
                 }
             }
@@ -672,6 +888,51 @@ mod tests {
         let f = Formula::rel_vars(e_a, &[Var(0), Var(1)]);
         let g = translate_formula(&f, &a, &b);
         assert_eq!(g, Formula::rel_vars(e_b, &[Var(0), Var(1)]));
+    }
+
+    #[test]
+    fn compress_packs_selected_bits() {
+        assert_eq!(compress(0b1011, 0b1111), 0b1011);
+        assert_eq!(compress(0b1010, 0b1010), 0b11);
+        assert_eq!(compress(0b0101, 0b1010), 0);
+        assert_eq!(compress(0b1100, 0b1001), 0b10);
+    }
+
+    #[test]
+    fn guarded_subsets_prune_and_keep_first_of_each_projection() {
+        let mut sc = Schema::new();
+        let e = sc.add_relation("E", 2).unwrap();
+        let schema = sc.finish();
+        // Old point e0, new point e1 (fresh): fact 0 = E(e1,e1) lies inside
+        // the new points, fact 1 = E(e0,e1) is a cross fact.
+        let base = Structure::new(schema, 2);
+        let optional = vec![
+            (e, vec![Element(1), Element(1)]),
+            (e, vec![Element(0), Element(1)]),
+        ];
+        let universe = [Element(1)];
+        let combined = [Element(0), Element(1)];
+        let masks = |guard: Option<&Formula>| {
+            let mut out = Vec::new();
+            guarded_fact_subsets(&base, &optional, &universe, guard, &combined, &mut out);
+            out.iter().map(Structure::fact_count).collect::<Vec<_>>()
+        };
+        // No guard: every mask, in ascending order.
+        assert_eq!(masks(None), vec![0, 1, 1, 2]);
+        // E(x_old, x_new): masks 0b10 and 0b11 pass, with distinct
+        // projections onto fact 0.
+        let cross = Formula::rel_vars(e, &[Var(0), Var(1)]);
+        assert_eq!(masks(Some(&cross)), vec![1, 2]);
+        // True: all masks pass; 0b10 repeats 0b00's projection, 0b11
+        // repeats 0b01's, so only the first two are built.
+        assert_eq!(masks(Some(&Formula::True)), vec![0, 1]);
+        // Decided by the placement alone: nothing is built.
+        let apart = Formula::var_eq(Var(0), Var(1));
+        assert_eq!(masks(Some(&apart)), Vec::<usize>::new());
+        // An out-of-range variable does not compile: every mask is kept
+        // for `eval` to reject.
+        let unbound = Formula::rel_vars(e, &[Var(0), Var(7)]);
+        assert_eq!(masks(Some(&unbound)), vec![0, 1, 1, 2]);
     }
 
     #[test]

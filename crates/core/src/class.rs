@@ -1,6 +1,8 @@
 //! The interface between the Theorem 5 engine and a (semi-)Fraïssé class.
 
-use dds_structure::{canonicalize_pointed, CanonicalKey, Element, Schema, Structure};
+use dds_structure::{
+    canonical_key_pointed, canonicalize_pointed, CanonicalKey, Element, Schema, Structure,
+};
 use dds_system::{Run, StateId, System};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -73,6 +75,54 @@ impl RelConfig {
                 structure: s,
                 points,
             },
+            key,
+        }
+    }
+
+    /// The canonical configuration generated by the points of `p`, for a
+    /// purely relational schema: the same result as
+    /// `RelConfig::canonical(&p.generated())`, built in one pass. The
+    /// points are numbered by first occurrence (the canonical numbering of
+    /// a relational structure generated by its points) and only the facts
+    /// among them are copied; elements outside the points are dropped.
+    pub fn generated(p: &Pointed) -> RelConfig {
+        const UNNUMBERED: u32 = u32::MAX;
+        let s = &p.structure;
+        debug_assert!(
+            s.schema().is_relational(),
+            "RelConfig::generated needs a purely relational schema"
+        );
+        let mut number = vec![UNNUMBERED; s.size()];
+        let mut next = 0u32;
+        let points: Vec<Element> = p
+            .points
+            .iter()
+            .map(|e| {
+                let n = &mut number[e.index()];
+                if *n == UNNUMBERED {
+                    *n = next;
+                    next += 1;
+                }
+                Element(*n)
+            })
+            .collect();
+        let mut structure = Structure::new(s.schema().clone(), next as usize);
+        let mut row = Vec::new();
+        for r in s.schema().relations() {
+            'tuples: for t in s.rel_tuples(r) {
+                row.clear();
+                for e in t {
+                    match number[e.index()] {
+                        UNNUMBERED => continue 'tuples,
+                        n => row.push(Element(n)),
+                    }
+                }
+                structure.add_fact(r, &row).expect("renumbered fact");
+            }
+        }
+        let key = canonical_key_pointed(&structure, &points);
+        RelConfig {
+            pointed: Pointed { structure, points },
             key,
         }
     }

@@ -341,7 +341,9 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
         // part. Hints for the inner class are those over its symbols (shared
         // prefix of the internal schema); the forced (dis)equalities are
         // schema-independent, so the inner class prunes placements with
-        // them directly.
+        // them directly. The guard itself stays here: its data atoms are
+        // only decided after the inner class returns, so the inner class
+        // must not prune with it.
         let inner_syms = self.inner.internal_schema().len();
         let inner_hints = GuardHints {
             atoms: hints
@@ -351,6 +353,7 @@ impl<C: AmalgamClass> AmalgamClass for DataClass<C> {
                 .cloned()
                 .collect(),
             eqs: hints.eqs.clone(),
+            guard: None,
         };
         let base_inner = Pointed::new(
             project_structure(&base.structure, self.inner.internal_schema()),

@@ -15,8 +15,8 @@
 //!   configuration (see the module docs of [`crate::amalgam`]).
 
 use crate::amalgam::{
-    combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, release_structure, AmalgamClass, GuardHints,
+    combined_valuation, guarded_fact_subsets, hint_tuples, internal_new_tuples, placement_contexts,
+    release_structure, AmalgamClass, GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::enumerate::StructureIter;
@@ -84,7 +84,14 @@ impl AmalgamClass for FreeRelationalClass {
                 }
                 let optional: Vec<_> = optional.into_iter().collect();
                 let mut structs = Vec::new();
-                enumerate_fact_subsets(&ctx.ext, &optional, |_| true, &mut structs);
+                guarded_fact_subsets(
+                    &ctx.ext,
+                    &optional,
+                    &np_universe,
+                    hints.guard.as_deref(),
+                    &combined,
+                    &mut structs,
+                );
                 out.extend(
                     structs
                         .into_iter()

@@ -17,8 +17,9 @@
 //! homomorphism search of `dds-structure`).
 
 use crate::amalgam::{
-    combined_valuation, enumerate_fact_subsets, hint_tuples, internal_new_tuples,
-    placement_contexts, release_structure, scratch_structure, AmalgamClass, GuardHints,
+    combined_valuation, enumerate_fact_subsets, guarded_fact_subsets, hint_tuples,
+    internal_new_tuples, placement_contexts, release_structure, scratch_structure, AmalgamClass,
+    GuardHints,
 };
 use crate::class::Pointed;
 use dds_structure::{Element, Schema, Structure, SymbolId};
@@ -81,16 +82,13 @@ impl HomClass {
     /// Whether a σ-tuple is allowed given element colors.
     fn tuple_compatible(&self, rel: SymbolId, tuple: &[Element], colors: &[usize]) -> bool {
         // `rel` must be a σ-symbol; ids of σ-symbols agree between public and
-        // internal schemas (internal = public ∪ colors, appended).
+        // internal schemas (internal = public ∪ colors, appended), so it
+        // names the same relation of the template.
         let mapped: Vec<Element> = tuple
             .iter()
             .map(|e| Element::from_index(colors[e.index()]))
             .collect();
-        let public_rel = self
-            .public
-            .lookup(self.internal.name(rel))
-            .expect("σ symbol");
-        self.template.holds(public_rel, &mapped)
+        self.template.holds(rel, &mapped)
     }
 
     /// Membership in the lift: exactly one color per element, all σ-tuples
@@ -204,7 +202,7 @@ impl AmalgamClass for HomClass {
                     }
                 }
                 let mut structs = Vec::new();
-                enumerate_fact_subsets(&base, &optional, |_| true, &mut structs);
+                enumerate_fact_subsets(&base, &optional, &mut structs);
                 out.extend(structs.into_iter().map(|s| Pointed::new(s, points.clone())));
             }
         }
@@ -231,6 +229,16 @@ impl AmalgamClass for HomClass {
             let mut np_universe: Vec<Element> = ctx.new_points.clone();
             np_universe.sort_unstable();
             np_universe.dedup();
+            // σ-tuples that may be added, before the coloring decides
+            // which of them are color-compatible (sorted and deduplicated).
+            let sigma_tuples: Vec<(SymbolId, Vec<Element>)> =
+                internal_new_tuples(&self.internal, &np_universe, &ctx.fresh)
+                    .into_iter()
+                    .chain(hint_tuples(&hints.atoms, &combined, &ctx.fresh))
+                    .filter(|(r, _)| sigma.contains(r))
+                    .collect::<BTreeSet<_>>()
+                    .into_iter()
+                    .collect();
             for fresh_colors in color_vectors(ctx.fresh.len(), nh) {
                 let mut colors = base_colors.clone();
                 colors.extend(fresh_colors.iter().copied());
@@ -240,20 +248,20 @@ impl AmalgamClass for HomClass {
                 }
                 // Optional facts: only color-compatible σ-tuples (others can
                 // never appear in a member).
-                let mut optional: BTreeSet<(SymbolId, Vec<Element>)> = BTreeSet::new();
-                for (r, t) in internal_new_tuples(&self.internal, &np_universe, &ctx.fresh) {
-                    if sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
-                        optional.insert((r, t));
-                    }
-                }
-                for (r, t) in hint_tuples(&hints.atoms, &combined, &ctx.fresh) {
-                    if sigma.contains(&r) && self.tuple_compatible(r, &t, &colors) {
-                        optional.insert((r, t));
-                    }
-                }
-                let optional: Vec<_> = optional.into_iter().collect();
+                let optional: Vec<_> = sigma_tuples
+                    .iter()
+                    .filter(|(r, t)| self.tuple_compatible(*r, t, &colors))
+                    .cloned()
+                    .collect();
                 let mut structs = Vec::new();
-                enumerate_fact_subsets(&colored, &optional, |_| true, &mut structs);
+                guarded_fact_subsets(
+                    &colored,
+                    &optional,
+                    &np_universe,
+                    hints.guard.as_deref(),
+                    &combined,
+                    &mut structs,
+                );
                 release_structure(colored);
                 out.extend(
                     structs

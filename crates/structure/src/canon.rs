@@ -100,17 +100,34 @@ fn encode(s: &Structure, points: &[Element], number: &[u32]) -> Vec<u64> {
         out.push(number[p.index()] as u64);
     }
     out.push(SEP);
+    // Renamed rows of one relation, flat; sorted only when the renaming
+    // broke the stored lexicographic order (never under the identity).
+    let mut rows: Vec<u32> = Vec::new();
     for r in s.schema().relations() {
-        let mut tuples: Vec<Vec<u32>> = s
-            .rel_tuples(r)
-            .map(|t| t.iter().map(|e| number[e.index()]).collect())
-            .collect();
-        tuples.sort_unstable();
-        for t in tuples {
-            for x in t {
-                out.push(x as u64);
-            }
+        let arity = s.schema().arity(r);
+        if arity == 0 {
+            out.extend(s.rel_tuples(r).map(|_| SEP));
             out.push(SEP);
+            continue;
+        }
+        rows.clear();
+        for t in s.rel_tuples(r) {
+            rows.extend(t.iter().map(|e| number[e.index()]));
+        }
+        let in_order = rows
+            .chunks_exact(arity)
+            .zip(rows.chunks_exact(arity).skip(1))
+            .all(|(a, b)| a <= b);
+        let mut emit = |t: &[u32]| {
+            out.extend(t.iter().map(|&x| x as u64));
+            out.push(SEP);
+        };
+        if in_order {
+            rows.chunks_exact(arity).for_each(&mut emit);
+        } else {
+            let mut sorted: Vec<&[u32]> = rows.chunks_exact(arity).collect();
+            sorted.sort_unstable();
+            sorted.into_iter().for_each(&mut emit);
         }
         out.push(SEP);
     }
@@ -179,7 +196,7 @@ fn pointed_numbering(s: &Structure, points: &[Element]) -> Vec<u32> {
         }
     }
     let funcs: Vec<_> = s.schema().functions().collect();
-    let mut frontier_grew = true;
+    let mut frontier_grew = !funcs.is_empty();
     while frontier_grew {
         frontier_grew = false;
         let snapshot = order.clone();

@@ -160,7 +160,12 @@ impl Clone for Structure {
     /// Reuses `self`'s relation buffers — the reason the engine's scratch
     /// pool can produce candidate structures without allocating.
     fn clone_from(&mut self, src: &Structure) {
-        self.schema = src.schema.clone();
+        // Pooled structures almost always already share the schema; skipping
+        // the reference-count update keeps worker threads off one shared
+        // cache line.
+        if !Arc::ptr_eq(&self.schema, &src.schema) {
+            self.schema = src.schema.clone();
+        }
         self.size = src.size;
         if self.rels.len() == src.rels.len() {
             for (dst, s) in self.rels.iter_mut().zip(&src.rels) {

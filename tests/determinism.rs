@@ -466,3 +466,54 @@ fn auto_threads_agrees() {
         .run();
     assert_eq!(sequential, auto);
 }
+
+/// The deterministic [`EngineStats`] of the fast amalgam scenarios of the
+/// pinned `bench/macro/` suite, at one worker. The numbers were recorded
+/// before guard-directed amalgam enumeration and one-pass canonicalization
+/// landed: those change how many candidates a class builds, never which
+/// successors it returns, so every field here must stay exactly as it was.
+/// (The `macro_json` gate pins only `configs_explored`.)
+#[test]
+fn amalgam_macro_stats_pinned() {
+    // scenario, [initial, explored, transitions, cache hits, unique,
+    // dedup probes, dedup hits, levels], layer-width histogram prefix
+    #[rustfmt::skip]
+    let pins: [(&str, [usize; 8], [u64; 6]); 6] = [
+        ("chain_free_deep", [16, 2119, 5624, 3530, 16, 48728, 46618, 141], [0, 0, 0, 22, 119, 0]),
+        ("chain_free_exhaust", [16, 2732, 7040, 4738, 16, 62228, 59512, 180], [0, 0, 0, 27, 153, 0]),
+        ("equiv_exhaust", [60, 3600, 5160, 4860, 60, 11958, 8418, 60], [0, 0, 0, 0, 0, 60]),
+        ("data_order_exhaust", [50, 1500, 2200, 1950, 50, 40734, 39284, 30], [0, 0, 0, 0, 0, 30]),
+        ("order_exhaust", [3, 330, 477, 465, 3, 790, 463, 110], [0, 110, 0, 0, 0, 0]),
+        ("hom_chain_k5", [11, 1533, 2076, 2032, 11, 13664, 12132, 161], [0, 0, 38, 123, 0, 0]),
+    ];
+    for (id, counts, widths) in pins {
+        let [initial, explored, transitions, hits, unique, probes, dedup, levels] = counts;
+        let path = format!("{}/bench/macro/{id}.dds", env!("CARGO_MANIFEST_DIR"));
+        let report = dds_cli::VerifyRequest::from_file(&path)
+            .unwrap_or_else(|e| panic!("{id}: {e}"))
+            .options(dds_cli::RunOptions {
+                threads: 1,
+                ..dds_cli::RunOptions::default()
+            })
+            .verify()
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let got = report.report.properties[0]
+            .stats
+            .unwrap_or_else(|| panic!("{id}: a reach property reports engine stats"));
+        let mut layer_widths = dds::core::LayerWidths::default();
+        layer_widths.0[..widths.len()].copy_from_slice(&widths);
+        let want = dds::core::EngineStats {
+            initial_configs: initial,
+            configs_explored: explored,
+            transitions_computed: transitions,
+            transition_cache_hits: hits,
+            unique_configs: unique,
+            dedup_probes: probes,
+            dedup_hits: dedup,
+            levels,
+            layer_widths,
+            ..Default::default()
+        };
+        assert_eq!(got, want, "{id}: deterministic stats drifted");
+    }
+}
